@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,6 +35,16 @@ inline void print_shape_check(const std::string& claim, bool holds) {
 }
 
 [[nodiscard]] inline int shape_exit_code() { return shape_failures() == 0 ? 0 : 1; }
+
+/// The benches take no arguments: every sweep is fixed in the source, and
+/// the only inputs are the VMGRID_* env knobs. Any argument (a stale
+/// flag from an old script, say) prints a usage line and exits 2.
+inline void require_no_args(int argc, char** argv) {
+  if (argc <= 1) return;
+  std::fprintf(stderr, "usage: %s\n(takes no arguments; unexpected '%s')\n", argv[0],
+               argv[1]);
+  std::exit(2);
+}
 
 /// Accumulator that also retains the raw samples, so the JSON reporter
 /// can emit exact p50/p99 (nearest-rank) instead of binned estimates.

@@ -6,8 +6,6 @@
 // VMs vs a Denali-style lightweight profile (tiny footprint and boot
 // time, bought with guest-OS modification — no legacy support).
 
-#include <benchmark/benchmark.h>
-
 #include <vector>
 
 #include "bench_common.hpp"
@@ -140,13 +138,6 @@ Results& results() {
   return r;
 }
 
-void BM_Density(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_density(static_cast<int>(state.range(0)), false, 11).vms);
-  }
-}
-BENCHMARK(BM_Density)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 void print_table() {
   auto& r = results();
   bench::print_header(
@@ -198,9 +189,7 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
+  vmgrid::bench::require_no_args(argc, argv);
   print_table();
   return vmgrid::bench::shape_exit_code();
 }

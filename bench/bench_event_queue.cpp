@@ -7,8 +7,6 @@
 // The numbers are emitted to BENCH_event_queue.json so the bench
 // trajectory records the before/after of queue changes.
 
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cstdint>
 
@@ -26,6 +24,10 @@ using sim::TimePoint;
 
 constexpr int kBatch = 100'000;  // events per timed pass
 constexpr int kPasses = 8;       // timed passes per workload
+
+// Receives each schedule/fire pass's checksum so the fired callbacks
+// cannot be optimised away.
+volatile std::uint64_t g_sink = 0;
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -50,7 +52,7 @@ double schedule_fire_ops_per_sec() {
     }
     total_s += seconds_since(t0);
     total_ops += 2.0 * kBatch;
-    benchmark::DoNotOptimize(sink);
+    g_sink = sink;
   }
   return total_ops / total_s;
 }
@@ -118,36 +120,6 @@ Throughput& results() {
   return t;
 }
 
-void BM_ScheduleFire(benchmark::State& state) {
-  sim::Rng rng{42};
-  for (auto _ : state) {
-    EventQueue q;
-    for (int i = 0; i < kBatch; ++i) {
-      q.schedule(TimePoint::from_seconds(rng.uniform(0.0, 1000.0)), [] {});
-    }
-    while (!q.empty()) q.pop();
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * kBatch);
-}
-BENCHMARK(BM_ScheduleFire)->Unit(benchmark::kMillisecond);
-
-void BM_ScheduleCancel(benchmark::State& state) {
-  sim::Rng rng{43};
-  std::vector<sim::EventId> ids;
-  for (auto _ : state) {
-    EventQueue q;
-    ids.clear();
-    for (int i = 0; i < kBatch; ++i) {
-      ids.push_back(
-          q.schedule(TimePoint::from_seconds(rng.uniform(0.0, 1000.0)), [] {}));
-    }
-    for (auto it = ids.rbegin(); it != ids.rend(); ++it) q.cancel(*it);
-    while (!q.empty()) q.pop();
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * kBatch);
-}
-BENCHMARK(BM_ScheduleCancel)->Unit(benchmark::kMillisecond);
-
 void print_report() {
   auto& r = results();
   bench::print_header("EventQueue hot path: throughput (operations per second)");
@@ -167,9 +139,7 @@ void print_report() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
+  vmgrid::bench::require_no_args(argc, argv);
   print_report();
   return vmgrid::bench::shape_exit_code();
 }

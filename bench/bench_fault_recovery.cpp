@@ -5,18 +5,11 @@
 // outages and link faults while a closed-loop workload keeps one session
 // busy. Availability is sampled once per simulated second after the
 // session exists; RTO is the crash-to-recovered downtime of every
-// completed failover.
-//
-// Knobs (env):
-//   VMGRID_FAULT_SAMPLES    replicas per fault-rate level   (default 5)
-//   VMGRID_FAULT_RATES      comma-separated events/hour     (default 0,30,90,180)
-//   VMGRID_FAULT_HORIZON_S  measured window per replica, s  (default 600)
-//   VMGRID_JOBS             replication worker threads; results are
-//                           byte-identical for every value.
+// completed failover. The sweep (fault rates, replicas per rate,
+// horizon) is fixed below; VMGRID_JOBS sets the replication worker
+// threads, and results are byte-identical for every value.
 
-#include <benchmark/benchmark.h>
-
-#include <cstdlib>
+#include <array>
 #include <functional>
 #include <string>
 #include <vector>
@@ -33,50 +26,12 @@ namespace {
 using namespace vmgrid;
 using namespace vmgrid::middleware;
 
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  return end == v ? fallback : parsed;
-}
-
-int env_int(const char* name, int fallback) {
-  const double v = env_double(name, static_cast<double>(fallback));
-  return v < 1.0 ? fallback : static_cast<int>(v);
-}
-
-/// Fault-rate levels (events/hour). Rate 0 is the fault-free control; its
-/// results must match the ordinary benches (shape-checked below).
-const std::vector<double>& rates() {
-  static const std::vector<double> rs = [] {
-    std::vector<double> out;
-    const char* v = std::getenv("VMGRID_FAULT_RATES");
-    std::string spec = (v != nullptr && *v != '\0') ? v : "0,30,90,180";
-    std::size_t pos = 0;
-    while (pos <= spec.size()) {
-      const std::size_t comma = spec.find(',', pos);
-      const std::string tok =
-          spec.substr(pos, comma == std::string::npos ? spec.npos : comma - pos);
-      if (!tok.empty()) {
-        char* end = nullptr;
-        const double r = std::strtod(tok.c_str(), &end);
-        if (end != tok.c_str() && r >= 0.0) out.push_back(r);
-      }
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
-    if (out.empty()) out = {0.0, 30.0, 90.0, 180.0};
-    return out;
-  }();
-  return rs;
-}
-
-int samples_per_rate() { return env_int("VMGRID_FAULT_SAMPLES", 5); }
-
-sim::Duration horizon() {
-  return sim::Duration::seconds(env_double("VMGRID_FAULT_HORIZON_S", 600.0));
-}
+/// Fault-rate levels (events/hour), ascending. Rate 0 is the fault-free
+/// control; its results must match the ordinary benches (shape-checked
+/// below).
+constexpr std::array<double, 4> kRates{0.0, 30.0, 90.0, 180.0};
+constexpr std::size_t kSamplesPerRate = 5;  ///< replicas per rate level
+constexpr double kHorizonS = 600.0;         ///< measured window per replica
 
 struct ReplicaResult {
   double availability{0.0};
@@ -95,8 +50,8 @@ struct ReplicaResult {
 /// (rate index, sample index) so replicas fan out across VMGRID_JOBS and
 /// fold back in index order without changing a single bit.
 ReplicaResult run_replica(std::size_t rate_idx, std::size_t sample_idx) {
-  const double rate = rates()[rate_idx];
-  const sim::Duration window = horizon();
+  const double rate = kRates[rate_idx];
+  const sim::Duration window = sim::Duration::seconds(kHorizonS);
   const std::uint64_t seed = 9000 + 23 * sample_idx;
 
   testbed::FaultTestbed tb{seed, 3};
@@ -210,17 +165,14 @@ std::vector<RateSummary>& results() {
   // one flat batch and fold in index order, so the summary is the same
   // for every VMGRID_JOBS value.
   static std::vector<RateSummary> acc = [] {
-    const std::size_t n_rates = rates().size();
-    const auto n_samples = static_cast<std::size_t>(samples_per_rate());
     sim::ReplicationRunner pool;
-    const auto replicas =
-        pool.map(n_rates * n_samples, [n_samples](std::size_t idx) {
-          return run_replica(idx / n_samples, idx % n_samples);
-        });
-    std::vector<RateSummary> out(n_rates);
+    const auto replicas = pool.map(kRates.size() * kSamplesPerRate, [](std::size_t idx) {
+      return run_replica(idx / kSamplesPerRate, idx % kSamplesPerRate);
+    });
+    std::vector<RateSummary> out(kRates.size());
     for (std::size_t idx = 0; idx < replicas.size(); ++idx) {
       const auto& r = replicas[idx];
-      auto& s = out[idx / n_samples];
+      auto& s = out[idx / kSamplesPerRate];
       s.availability.add(r.availability);
       s.alive_samples += r.alive_samples;
       s.total_samples += r.total_samples;
@@ -243,25 +195,17 @@ std::string rate_label(double rate) {
   return std::string("rate") + buf;
 }
 
-void BM_FaultRecovery(benchmark::State& state) {
-  const auto idx = static_cast<std::size_t>(state.range(0)) % rates().size();
-  for (auto _ : state) benchmark::DoNotOptimize(run_replica(idx, 0).availability);
-}
-BENCHMARK(BM_FaultRecovery)->DenseRange(0, 1)->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 void print_table() {
-  const auto& rs = rates();
   auto& acc = results();
   bench::print_header("Fault recovery: availability and RTO vs fault rate (" +
-                      std::to_string(samples_per_rate()) + " replicas/level, " +
-                      std::to_string(static_cast<long long>(horizon().to_seconds())) +
+                      std::to_string(kSamplesPerRate) + " replicas/level, " +
+                      std::to_string(static_cast<long long>(kHorizonS)) +
                       " s horizon)");
   std::printf("%-10s %12s %10s %8s %8s %8s %10s %10s\n", "rate(/h)", "avail(mean)",
               "rto mean", "std", "p50", "p99", "failovers", "injected");
-  for (std::size_t i = 0; i < rs.size(); ++i) {
+  for (std::size_t i = 0; i < kRates.size(); ++i) {
     const auto& s = acc[i];
-    std::printf("%-10g %12.4f %10.1f %8.1f %8.1f %8.1f %10llu %10llu\n", rs[i],
+    std::printf("%-10g %12.4f %10.1f %8.1f %8.1f %8.1f %10llu %10llu\n", kRates[i],
                 s.availability.mean(), s.rto.mean(), s.rto.stddev(),
                 s.rto.percentile(50.0), s.rto.percentile(99.0),
                 static_cast<unsigned long long>(s.failovers_ok),
@@ -270,11 +214,11 @@ void print_table() {
 
   bench::JsonReporter report{"fault_recovery"};
   report.set_unit("seconds");
-  for (std::size_t i = 0; i < rs.size(); ++i) {
+  for (std::size_t i = 0; i < kRates.size(); ++i) {
     const auto& s = acc[i];
-    const std::string rto_name = rate_label(rs[i]) + "/rto";
+    const std::string rto_name = rate_label(kRates[i]) + "/rto";
     report.add_samples(rto_name, s.rto);
-    report.add_field(rto_name, "events_per_hour", rs[i]);
+    report.add_field(rto_name, "events_per_hour", kRates[i]);
     report.add_field(rto_name, "failovers_completed",
                      static_cast<double>(s.failovers_ok));
     report.add_field(rto_name, "failovers_failed",
@@ -282,11 +226,10 @@ void print_table() {
     report.add_field(rto_name, "faults_injected", static_cast<double>(s.injected));
     report.add_field(rto_name, "tasks_ok", static_cast<double>(s.tasks_ok));
     report.add_field(rto_name, "tasks_failed", static_cast<double>(s.tasks_failed));
-    const std::string avail_name = rate_label(rs[i]) + "/availability";
+    const std::string avail_name = rate_label(kRates[i]) + "/availability";
     report.add_samples(avail_name, s.availability);
-    report.add_field(avail_name, "events_per_hour", rs[i]);
-    report.add_field(avail_name, "replicas",
-                     static_cast<double>(samples_per_rate()));
+    report.add_field(avail_name, "events_per_hour", kRates[i]);
+    report.add_field(avail_name, "replicas", static_cast<double>(kSamplesPerRate));
     // SLO accounting over the folded counts: session availability against
     // a three-nines objective (1 Hz liveness samples), RTO against a
     // 60 s recovery-time objective at p90, task success against 95%.
@@ -312,38 +255,27 @@ void print_table() {
   std::printf("\nShape checks:\n");
   bool all_created = true;
   for (const auto& s : acc) {
-    all_created =
-        all_created && s.created == static_cast<std::uint64_t>(samples_per_rate());
+    all_created = all_created && s.created == kSamplesPerRate;
   }
   bench::print_shape_check("every replica establishes its session", all_created);
 
   // Rate-0 control: no faults => the session is never dead, nothing fails
   // over, no task fails. This pins the zero-fault path to the fault-free
   // benches — enabling the subsystem at rate 0 must change nothing.
-  std::size_t zero = rs.size();
-  for (std::size_t i = 0; i < rs.size(); ++i) {
-    if (rs[i] == 0.0) zero = i;
-  }
-  if (zero < rs.size()) {
-    const auto& z = acc[zero];
-    bench::print_shape_check("rate 0: availability is exactly 1.0",
-                             z.availability.count() > 0 && z.availability.min() == 1.0 &&
-                                 z.availability.max() == 1.0);
-    bench::print_shape_check("rate 0: zero faults, zero failovers, zero task failures",
-                             z.injected == 0 && z.failovers_ok == 0 &&
-                                 z.failovers_failed == 0 && z.tasks_failed == 0);
-  }
+  static_assert(kRates.front() == 0.0, "the first rate is the fault-free control");
+  const auto& z = acc.front();
+  bench::print_shape_check("rate 0: availability is exactly 1.0",
+                           z.availability.count() > 0 && z.availability.min() == 1.0 &&
+                               z.availability.max() == 1.0);
+  bench::print_shape_check("rate 0: zero faults, zero failovers, zero task failures",
+                           z.injected == 0 && z.failovers_ok == 0 &&
+                               z.failovers_failed == 0 && z.tasks_failed == 0);
 
-  std::size_t hottest = 0;
-  for (std::size_t i = 0; i < rs.size(); ++i) {
-    if (rs[i] > rs[hottest]) hottest = i;
-  }
-  const auto& hot = acc[hottest];
+  const auto& hot = acc.back();
   bench::print_shape_check("highest rate injects faults and loses some availability",
-                           rs[hottest] == 0.0 ||
-                               (hot.injected > 0 && hot.availability.mean() < 1.0));
+                           hot.injected > 0 && hot.availability.mean() < 1.0);
   bench::print_shape_check("failover recovers sessions at the highest rate",
-                           rs[hottest] == 0.0 || hot.failovers_ok > 0);
+                           hot.failovers_ok > 0);
   if (hot.rto.count() > 0) {
     // RTO = detection (2 probe intervals) + warm restore (~12 s DiskFS /
     // ~29 s VFS) + placement; anything outside [5 s, 120 s] means the
@@ -353,19 +285,14 @@ void print_table() {
     bench::print_shape_check("every completed failover took positive downtime",
                              hot.rto.min() > 0.0);
   }
-  if (zero < rs.size() && hottest != zero) {
-    bench::print_shape_check("availability degrades from rate 0 to the highest rate",
-                             acc[zero].availability.mean() >=
-                                 hot.availability.mean());
-  }
+  bench::print_shape_check("availability degrades from rate 0 to the highest rate",
+                           z.availability.mean() >= hot.availability.mean());
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
+  vmgrid::bench::require_no_args(argc, argv);
   print_table();
   return vmgrid::bench::shape_exit_code();
 }

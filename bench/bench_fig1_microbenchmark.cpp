@@ -7,8 +7,6 @@
 // Background load is synthetic-trace playback (the paper replayed PSC
 // Alpha-cluster host-load traces; see DESIGN.md for the substitution).
 
-#include <benchmark/benchmark.h>
-
 #include <array>
 #include <functional>
 
@@ -148,18 +146,6 @@ std::array<bench::SampleSet, kScenarios.size()>& results() {
   return acc;
 }
 
-void BM_Microbenchmark(benchmark::State& state) {
-  const auto& sc = kScenarios[static_cast<std::size_t>(state.range(0))];
-  for (auto _ : state) {
-    Grid grid{99};
-    auto& cs =
-        grid.add_compute_server(testbed::paper_compute("fig1", testbed::fig1_host()));
-    (void)sc;
-    benchmark::DoNotOptimize(cs.node().value());
-  }
-}
-BENCHMARK(BM_Microbenchmark)->DenseRange(0, 11)->Unit(benchmark::kMillisecond);
-
 void print_figure() {
   auto& acc = results();
   bench::print_header(
@@ -209,9 +195,7 @@ void print_figure() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
+  vmgrid::bench::require_no_args(argc, argv);
   print_figure();
   return vmgrid::bench::shape_exit_code();
 }

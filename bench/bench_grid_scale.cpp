@@ -19,8 +19,6 @@
 // byte-identical across runs and across VMGRID_JOBS values; wall-clock
 // throughput is printed to stdout only.
 
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cinttypes>
 #include <cmath>
@@ -318,29 +316,6 @@ struct Cell {
 };
 constexpr Cell kCells[] = {{100, 10'000}, {1'000, 100'000}, {10'000, 1'000'000}};
 
-void BM_ZoneRoute(benchmark::State& state) {
-  // Route resolution cost on a 10k-host zoned topology: O(depth), no
-  // per-pair cache to warm or hold in memory.
-  sim::Simulation sim{1};
-  net::Network net{sim};
-  const auto wan = net.add_zone("wan", core_link());
-  std::vector<net::NodeId> nodes;
-  for (int c = 0; c < 313; ++c) {
-    const auto z = net.add_zone("cl" + std::to_string(c), wan, core_link(), host_link());
-    for (int h = 0; h < 32; ++h) {
-      nodes.push_back(net.add_zone_node(z, "n"));
-    }
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto src = nodes[i % nodes.size()];
-    const auto dst = nodes[(i * 7919 + 13) % nodes.size()];
-    benchmark::DoNotOptimize(net.rtt(src, dst).to_seconds());
-    ++i;
-  }
-}
-BENCHMARK(BM_ZoneRoute)->Unit(benchmark::kMicrosecond);
-
 std::string cell_name(const char* tier, const Cell& c) {
   return std::string(tier) + "-" + std::to_string(c.hosts) + "x" + std::to_string(c.jobs);
 }
@@ -489,9 +464,7 @@ void print_report() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
+  vmgrid::bench::require_no_args(argc, argv);
   print_report();
   return vmgrid::bench::shape_exit_code();
 }

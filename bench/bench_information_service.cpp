@@ -4,8 +4,6 @@
 // against the time bound and reports recall (fraction of matching
 // records returned) and query latency, plus the futures x images join.
 
-#include <benchmark/benchmark.h>
-
 #include <vector>
 
 #include "bench_common.hpp"
@@ -70,14 +68,6 @@ std::vector<Cell>& results() {
   }();
   return r;
 }
-
-void BM_Query(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_cell(n, sim::Duration::millis(10)).recall);
-  }
-}
-BENCHMARK(BM_Query)->Arg(100)->Arg(1000)->Arg(10000)->Unit(benchmark::kMicrosecond);
 
 void print_table() {
   auto& r = results();
@@ -154,9 +144,7 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
+  vmgrid::bench::require_no_args(argc, argv);
   print_table();
   return vmgrid::bench::shape_exit_code();
 }

@@ -4,8 +4,6 @@
 // RPS-driven policy (per-host load sensors + AR predictors + running-
 // time estimation, §3.2) should beat least-loaded, which beats random.
 
-#include <benchmark/benchmark.h>
-
 #include <vector>
 
 #include "bench_common.hpp"
@@ -91,12 +89,6 @@ Results& results() {
   return r;
 }
 
-void BM_Placement(benchmark::State& state) {
-  const auto policy = static_cast<PlacementPolicy>(state.range(0));
-  for (auto _ : state) benchmark::DoNotOptimize(run_policy(policy, 301).makespan_s);
-}
-BENCHMARK(BM_Placement)->DenseRange(0, 2)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 void print_table() {
   auto& r = results();
   bench::print_header(
@@ -138,9 +130,7 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
+  vmgrid::bench::require_no_args(argc, argv);
   print_table();
   return vmgrid::bench::shape_exit_code();
 }

@@ -5,8 +5,6 @@
 // migration and the iterative pre-copy extension, reporting downtime and
 // total migration time while a task keeps running in the guest.
 
-#include <benchmark/benchmark.h>
-
 #include <optional>
 #include <vector>
 
@@ -102,12 +100,6 @@ std::vector<Outcome>& results() {
   return r;
 }
 
-void BM_Migrate(benchmark::State& state) {
-  const auto& c = cases()[static_cast<std::size_t>(state.range(0))];
-  for (auto _ : state) benchmark::DoNotOptimize(run_case(c, 57).total_s);
-}
-BENCHMARK(BM_Migrate)->DenseRange(0, 3)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 void print_table() {
   auto& r = results();
   bench::print_header(
@@ -168,9 +160,7 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
+  vmgrid::bench::require_no_args(argc, argv);
   print_table();
   return vmgrid::bench::shape_exit_code();
 }

@@ -8,8 +8,6 @@
 // jitter: the duty-cycle mechanism hits the average but is coarse —
 // exactly the qualification the paper attaches to it.
 
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <vector>
 
@@ -101,17 +99,6 @@ std::vector<Outcome>& results() {
   return r;
 }
 
-void BM_Mechanism(benchmark::State& state) {
-  const auto& m = mechanisms()[static_cast<std::size_t>(state.range(0))];
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_mechanism(m, 31).guest_share);
-  }
-}
-BENCHMARK(BM_Mechanism)
-    ->DenseRange(0, static_cast<int>(mechanisms().size()) - 1)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 void print_table() {
   auto& r = results();
   bench::print_header(
@@ -160,9 +147,7 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
+  vmgrid::bench::require_no_args(argc, argv);
   print_table();
   return vmgrid::bench::shape_exit_code();
 }

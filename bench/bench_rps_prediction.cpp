@@ -4,8 +4,6 @@
 // loop: predict a task's running time on a loaded host and compare with
 // the simulated outcome.
 
-#include <benchmark/benchmark.h>
-
 #include <memory>
 #include <vector>
 
@@ -94,17 +92,6 @@ std::vector<RuntimeRow>& runtime_results() {
   return rows;
 }
 
-void BM_ArFit(benchmark::State& state) {
-  const auto data = make_trace(0.5, 5);
-  TimeSeries series{data.size() + 2};
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    series.append(sim::TimePoint::from_seconds(static_cast<double>(i)), data[i]);
-  }
-  ArPredictor ar{static_cast<std::size_t>(state.range(0))};
-  for (auto _ : state) benchmark::DoNotOptimize(ar.fit(series));
-}
-BENCHMARK(BM_ArFit)->Arg(4)->Arg(16)->Arg(64)->Unit(benchmark::kMicrosecond);
-
 void print_table() {
   bench::print_header("XRPS: host-load prediction and running-time estimation");
   std::printf("One-step MSE on synthetic PSC-like load traces:\n");
@@ -162,9 +149,7 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
+  vmgrid::bench::require_no_args(argc, argv);
   print_table();
   return vmgrid::bench::shape_exit_code();
 }

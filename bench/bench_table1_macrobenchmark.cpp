@@ -7,8 +7,6 @@
 // The reported quantity is CPU time (what `time` prints), exactly as in
 // the paper; overhead is relative to the physical run.
 
-#include <benchmark/benchmark.h>
-
 #include <array>
 #include <optional>
 
@@ -117,21 +115,6 @@ Table1& results() {
   return t;
 }
 
-void BM_Macro(benchmark::State& state) {
-  const auto spec = state.range(0) == 0 ? workload::spec_seis() : workload::spec_climate();
-  const auto access = state.range(1) == 0 ? StateAccess::kNonPersistentLocal
-                                          : StateAccess::kNonPersistentVfs;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_on_vm(spec, access).wall.count());
-  }
-}
-BENCHMARK(BM_Macro)
-    ->Args({0, 0})
-    ->Args({0, 1})
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Unit(benchmark::kMillisecond);
-
 void print_table() {
   auto& t = results();
   bench::print_header(
@@ -180,9 +163,7 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
+  vmgrid::bench::require_no_args(argc, argv);
   print_table();
   return vmgrid::bench::shape_exit_code();
 }

@@ -3,8 +3,6 @@
 // VM-restore crossed with {persistent copy, non-persistent DiskFS,
 // non-persistent LoopbackNFS}. 10 samples per cell, as in the paper.
 
-#include <benchmark/benchmark.h>
-
 #include <array>
 #include <optional>
 #include <string>
@@ -162,17 +160,6 @@ void write_combined_trace() {
   }
 }
 
-void BM_Startup(benchmark::State& state) {
-  const auto& cell = kCells[static_cast<std::size_t>(state.range(0))];
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_startup_sample(cell, 42));
-  }
-  state.counters["sim_startup_s"] =
-      results()[static_cast<std::size_t>(state.range(0))].mean();
-}
-BENCHMARK(BM_Startup)->DenseRange(0, static_cast<int>(kCells.size()) - 1)
-    ->Unit(benchmark::kMillisecond);
-
 void print_table() {
   auto& acc = results();
   bench::print_header(
@@ -209,9 +196,7 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
+  vmgrid::bench::require_no_args(argc, argv);
   print_table();
   write_combined_trace();
   return vmgrid::bench::shape_exit_code();

@@ -3,8 +3,6 @@
 // on a wide-area sequential read of a VM-image working set. Shows which
 // mechanism buys what on the paper's UFL<->NWU-class path.
 
-#include <benchmark/benchmark.h>
-
 #include <optional>
 #include <vector>
 
@@ -101,12 +99,6 @@ std::vector<Outcome>& results() {
   return r;
 }
 
-void BM_Sweep(benchmark::State& state) {
-  const auto& c = configs()[static_cast<std::size_t>(state.range(0))];
-  for (auto _ : state) benchmark::DoNotOptimize(run_config(c, 601).cold_s);
-}
-BENCHMARK(BM_Sweep)->DenseRange(0, 2)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 void print_table() {
   auto& r = results();
   bench::print_header(
@@ -143,9 +135,7 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
+  vmgrid::bench::require_no_args(argc, argv);
   print_table();
   return vmgrid::bench::shape_exit_code();
 }

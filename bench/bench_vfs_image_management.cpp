@@ -7,8 +7,6 @@
 //      second VM instance of the same image start with almost no WAN
 //      traffic.
 
-#include <benchmark/benchmark.h>
-
 #include <optional>
 
 #include "bench_common.hpp"
@@ -99,16 +97,6 @@ Results& results() {
   return r;
 }
 
-void BM_StagedStartup(benchmark::State& state) {
-  for (auto _ : state) benchmark::DoNotOptimize(run_staged(7).seconds);
-}
-BENCHMARK(BM_StagedStartup)->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void BM_OnDemandStartup(benchmark::State& state) {
-  for (auto _ : state) benchmark::DoNotOptimize(run_on_demand(8, 1).seconds);
-}
-BENCHMARK(BM_OnDemandStartup)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 void print_table() {
   auto& r = results();
   bench::print_header("XVFS: image staging vs on-demand grid-VFS access (2 GiB image, WAN)");
@@ -148,9 +136,7 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
+  vmgrid::bench::require_no_args(argc, argv);
   print_table();
   return vmgrid::bench::shape_exit_code();
 }

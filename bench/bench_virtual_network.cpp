@@ -6,8 +6,6 @@
 //  (3) Overlay networking among session VMs: detour quality when the
 //      direct underlay path degrades (the RON-style extension).
 
-#include <benchmark/benchmark.h>
-
 #include <optional>
 #include <vector>
 
@@ -145,11 +143,6 @@ Results& results() {
   return r;
 }
 
-void BM_DhcpLease(benchmark::State& state) {
-  for (auto _ : state) benchmark::DoNotOptimize(results().dhcp_lease_ms);
-}
-BENCHMARK(BM_DhcpLease)->Iterations(1);
-
 void print_table() {
   auto& r = results();
   bench::print_header("XNET: virtual networking for dynamically created VMs");
@@ -209,9 +202,7 @@ void print_table() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
+  vmgrid::bench::require_no_args(argc, argv);
   print_table();
   return vmgrid::bench::shape_exit_code();
 }
